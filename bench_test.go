@@ -246,7 +246,7 @@ func BenchmarkFig10StreamingReducers(b *testing.B) {
 					r.Observe(int64(i % 1500))
 				}
 			}
-			_ = r.Features()
+			_ = streaming.Features(r)
 		})
 	}
 }

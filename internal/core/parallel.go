@@ -175,9 +175,15 @@ type ParallelEngine struct {
 }
 
 // NewParallel compiles the policy once and deploys it on Workers
-// shards. MGPVs of one CG group always land on the same shard, so
-// per-group feature streams — and therefore the emitted vectors — are
-// identical to a sequential run's, as a multiset.
+// shards, each with its own switch and NIC. MGPVs of one CG group
+// always land on the same shard, so each shard emits, as a multiset,
+// exactly the vectors a sequential engine fed only that shard's
+// packets would. The union equals one sequential engine's output over
+// the whole stream only while no FG key table overwrites an entry:
+// every shard's switch keeps its own FG table, so the shards see
+// different (fewer) overwrites than a single engine, and an
+// overwritten key misattributes cells on the NIC (the Figure 10
+// approximation), changing vector values.
 func NewParallel(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*ParallelEngine, error) {
 	if opts.Workers <= 0 {
 		return nil, fmt.Errorf("core: parallel engine needs at least one worker, got %d", opts.Workers)

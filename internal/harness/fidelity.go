@@ -166,7 +166,7 @@ func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 			r.Observe(x)
 		}
 	}
-	return r.Features()[0]
+	return streaming.Features(r)[0]
 }
 
 // absIfOneD strips the direction sign for the 1D damped statistics

@@ -15,7 +15,9 @@ import (
 //
 //   - calls into package fmt (formatting always allocates);
 //   - string concatenation and string<->[]byte/[]rune conversions;
-//   - map literals and make(map), new(T);
+//   - map and slice literals, make(map), new(T) (a slice literal
+//     that is returned or stored escapes and allocates its array on
+//     every call);
 //   - function literals (closures generally heap-allocate their
 //     captures);
 //   - append to a function-local slice that was not created with an
@@ -139,8 +141,11 @@ func (c *hotChecker) inspect(n ast.Node) bool {
 		}
 	case *ast.CompositeLit:
 		if t := info.Types[n].Type; t != nil {
-			if _, ok := t.Underlying().(*types.Map); ok {
+			switch t.Underlying().(type) {
+			case *types.Map:
 				c.report(n, "builds a map literal")
+			case *types.Slice:
+				c.report(n, "builds a slice literal (heap-allocated once it escapes); append to a caller-owned buffer")
 			}
 		}
 	case *ast.AssignStmt:

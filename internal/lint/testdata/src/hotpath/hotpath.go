@@ -146,3 +146,26 @@ func rebatch(n int) Batch {
 	keys = append(keys, uint64(n)) // want `appends to keys, a local declared without capacity`
 	return Batch{Keys: keys}
 }
+
+// --- Reducer emission: the NIC calls reducers through an interface,
+// which the traversal cannot follow, so each reducer's emission
+// method carries its own annotation. Returning a fresh slice per call
+// allocates on every emitted vector; appending to the caller's buffer
+// does not.
+
+// Mean stands in for a streaming reducer.
+type Mean struct{ sum, n float64 }
+
+// Features is the allocating emission shape.
+//
+//superfe:hotpath
+func (m *Mean) Features() []float64 {
+	return []float64{m.sum / m.n} // want `builds a slice literal`
+}
+
+// AppendFeatures is the allocation-free emission shape.
+//
+//superfe:hotpath
+func (m *Mean) AppendFeatures(dst []float64) []float64 {
+	return append(dst, m.sum/m.n)
+}

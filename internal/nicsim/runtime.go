@@ -1,9 +1,10 @@
 package nicsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"superfe/internal/faults"
 	"superfe/internal/feature"
@@ -79,8 +80,14 @@ type Runtime struct {
 	slabScratch []scratchCell
 
 	// ppVals is the reused accumulation buffer for per-packet collect
-	// values; sinks must not retain vector Values past the call.
-	ppVals []float64
+	// values, flushVals the one Flush emits every vector from, and
+	// flushKeys the reused key list Flush sorts; sinks must not retain
+	// vector Values past the call. synthBuf holds a reduce's raw
+	// values while a synthesize rewrites them in place of the output.
+	ppVals    []float64
+	flushVals []float64
+	flushKeys []flowkey.Key
+	synthBuf  []float64
 }
 
 // groupSlab is the slab block size (groups per allocation).
@@ -101,12 +108,12 @@ type fgSlot struct {
 // accordingly: gauges are carried through interval deltas while
 // counters are diffed.
 type RuntimeStats struct {
-	Msgs        uint64
-	MGPVs       uint64
-	FGUpdates   uint64
-	Cells       uint64
-	UnknownFG   uint64 // cells whose FG index had no synced key (dropped)
-	Vectors     uint64
+	Msgs      uint64
+	MGPVs     uint64
+	FGUpdates uint64
+	Cells     uint64
+	UnknownFG uint64 // cells whose FG index had no synced key (dropped)
+	Vectors   uint64
 	// EMEMDrops counts per-granularity cell contributions dropped by
 	// injected transient EMEM allocation failures on group admission.
 	EMEMDrops uint64
@@ -152,7 +159,8 @@ type instruction struct {
 	src        valueRef
 	scratchIdx int
 	// reduce: source resolution and the group-local reducer indices,
-	// one per ReduceSpec.
+	// one per reducer slot (a slot covers one ReduceSpec, or a run of
+	// specs sharing a damped window).
 	reducerIdx []int
 	// reduce: the narrowest input contracts across the op's reducers
 	// (see streaming.ContractFor), priced once at compile time so the
@@ -177,12 +185,23 @@ type program struct {
 	instrs      []instruction
 	numEnv      int
 	numScratch  int
-	env         []int64             // per-cell evaluation scratch, reused (one runtime = one goroutine)
-	reducerSpec []policy.ReduceSpec // constructors for group.reducers
+	env         []int64       // per-cell evaluation scratch, reused (one runtime = one goroutine)
+	reducerSpec []reducerSlot // constructors for group.reducers
 	// emits lists, per collect op in policy order at this
 	// granularity, which reducer range it snapshots and any
 	// synthesize to apply.
 	emits []emitSpec
+}
+
+// reducerSlot constructs one group reducer. Outside naive mode a run
+// of consecutive specs of one reduce op that share a damped window
+// (streaming.SharesWindow) compiles to one slot, so the group keeps
+// one window that observes each sample once and emits every member
+// statistic in spec order; the separate windows it replaces would
+// have seen identical inputs, so the output bits are unchanged.
+type reducerSlot struct {
+	funcs  []streaming.Func // emitted statistics, in spec order
+	params streaming.Params
 }
 
 type emitSpec struct {
@@ -232,7 +251,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		fieldPos[f] = i
 	}
 	for _, g := range plan.Switch.Chain {
-		pr, err := compileProgram(plan, g, fieldPos)
+		pr, err := compileProgram(plan, g, fieldPos, cfg.Naive)
 		if err != nil {
 			return nil, err
 		}
@@ -303,8 +322,9 @@ func (r *Runtime) PublishObs() {
 }
 
 // compileProgram lowers the ops at granularity g into an instruction
-// list with resolved slots.
-func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int) (*program, error) {
+// list with resolved slots. naive keeps one reducer per ReduceSpec
+// (the Figure 15 store-everything reference shares no state).
+func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool) (*program, error) {
 	pr := &program{gran: g}
 	envSlot := map[string]int{}
 	resolve := func(name string) (valueRef, error) {
@@ -373,9 +393,14 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			}
 			ins := instruction{op: op, src: ref,
 				satLo: math.MinInt64, satHi: math.MaxInt64, fpMax: math.MaxInt64}
-			for _, rf := range op.Reducers {
-				ins.reducerIdx = append(ins.reducerIdx, len(pr.reducerSpec))
-				pr.reducerSpec = append(pr.reducerSpec, rf)
+			for i, rf := range op.Reducers {
+				if i > 0 && !naive && streaming.SharesWindow(op.Reducers[i-1].Func, op.Reducers[i-1].Params, rf.Func, rf.Params) {
+					slot := &pr.reducerSpec[len(pr.reducerSpec)-1]
+					slot.funcs = append(slot.funcs, rf.Func)
+				} else {
+					ins.reducerIdx = append(ins.reducerIdx, len(pr.reducerSpec))
+					pr.reducerSpec = append(pr.reducerSpec, reducerSlot{funcs: []streaming.Func{rf.Func}, params: rf.Params})
+				}
 				ct := streaming.ContractFor(rf.Func, rf.Params)
 				if ct.Clamps {
 					if ct.InLo > ins.satLo {
@@ -434,17 +459,23 @@ func (r *Runtime) newGroup(pr *program, key flowkey.Key) *group {
 		g.scratch = r.slabScratch[:n:n]
 		r.slabScratch = r.slabScratch[n:]
 	}
-	for i, rf := range pr.reducerSpec {
+	for i, rs := range pr.reducerSpec {
 		if r.cfg.Naive {
-			g.reducers[i] = streaming.NewNaive(rf.Func, rf.Params)
-		} else {
-			red, err := streaming.New(rf.Func, rf.Params)
-			if err != nil {
-				// Validated at Build/Compile; unreachable.
-				panic(fmt.Sprintf("superfe: nicsim: reducer %s: %v", rf.Func, err))
-			}
-			g.reducers[i] = red
+			g.reducers[i] = streaming.NewNaive(rs.funcs[0], rs.params)
+			continue
 		}
+		var red streaming.Reducer
+		var err error
+		if len(rs.funcs) == 1 {
+			red, err = streaming.New(rs.funcs[0], rs.params)
+		} else {
+			red, err = streaming.NewShared(rs.funcs, rs.params)
+		}
+		if err != nil {
+			// Validated at Build/Compile; unreachable.
+			panic(fmt.Sprintf("superfe: nicsim: reducer %s: %v", rs.funcs[0], err))
+		}
+		g.reducers[i] = red
 	}
 	return g
 }
@@ -701,18 +732,17 @@ func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst [
 }
 
 // appendSnapshot appends one emit's feature values to dst, applying
-// any synthesize post-processing to the appended region only.
+// any synthesize post-processing to the appended region only. Every
+// value lands in runtime-owned buffers: the reducers append in place
+// and each synthesize rewrites the region from the synthBuf copy.
 func (r *Runtime) appendSnapshot(dst []float64, g *group, em emitSpec) []float64 {
 	start := len(dst)
 	for _, ri := range em.reducers {
-		dst = append(dst, g.reducers[ri].Features()...)
+		dst = g.reducers[ri].AppendFeatures(dst)
 	}
-	if len(em.synth) > 0 {
-		vals := dst[start:]
-		for _, s := range em.synth {
-			vals = applySynth(s, vals)
-		}
-		dst = append(dst[:start], vals...)
+	for _, s := range em.synth {
+		r.synthBuf = append(r.synthBuf[:0], dst[start:]...)
+		dst = appendSynth(dst[:start], s, r.synthBuf)
 	}
 	return dst
 }
@@ -750,17 +780,18 @@ func (r *Runtime) Flush() {
 	}
 	fg := r.plan.Switch.FG
 	// Deterministic order for reproducible outputs.
-	keys := make([]flowkey.Key, 0, len(r.groups))
+	keys := r.flushKeys[:0]
 	//superfe:unordered collects keys that are sorted before use
 	for k := range r.groups {
 		if k.Gran == fg {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, keyCompare)
+	r.flushKeys = keys
 	for _, k := range keys {
 		g := r.groups[k]
-		var vals []float64
+		vals := r.flushVals[:0]
 		for _, pr := range r.programs {
 			var pg *group
 			if pr.gran == fg {
@@ -783,25 +814,28 @@ func (r *Runtime) Flush() {
 			cgKey := flowkey.Project(r.plan.Switch.CG, k.Tuple)
 			r.emitVector(k, g, int64(g.lastTS), vals, cgKey, flowkey.HashKey(cgKey))
 		}
+		r.flushVals = vals[:0] // retain the backing array for the next key
 	}
 }
 
-func keyLess(a, b flowkey.Key) bool {
+// keyCompare orders keys by granularity, then tuple fields — the
+// deterministic Flush order.
+func keyCompare(a, b flowkey.Key) int {
 	if a.Gran != b.Gran {
-		return a.Gran < b.Gran
+		return cmp.Compare(a.Gran, b.Gran)
 	}
 	ta, tb := a.Tuple, b.Tuple
 	switch {
 	case ta.SrcIP != tb.SrcIP:
-		return ta.SrcIP < tb.SrcIP
+		return cmp.Compare(ta.SrcIP, tb.SrcIP)
 	case ta.DstIP != tb.DstIP:
-		return ta.DstIP < tb.DstIP
+		return cmp.Compare(ta.DstIP, tb.DstIP)
 	case ta.SrcPort != tb.SrcPort:
-		return ta.SrcPort < tb.SrcPort
+		return cmp.Compare(ta.SrcPort, tb.SrcPort)
 	case ta.DstPort != tb.DstPort:
-		return ta.DstPort < tb.DstPort
+		return cmp.Compare(ta.DstPort, tb.DstPort)
 	}
-	return ta.Proto < tb.Proto
+	return cmp.Compare(ta.Proto, tb.Proto)
 }
 
 // loadRef reads one instruction operand: a previously computed env

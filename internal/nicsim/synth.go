@@ -6,25 +6,26 @@ import (
 	"superfe/internal/policy"
 )
 
-// applySynth post-processes a reduce's feature values with a
+// appendSynth post-processes a reduce's feature values with a
 // synthesizing function (Appendix A Table 5: f_marker, f_norm,
-// ft_sample).
-func applySynth(op policy.Op, vals []float64) []float64 {
+// ft_sample) and appends the result to dst. vals must not alias the
+// region dst grows into.
+func appendSynth(dst []float64, op policy.Op, vals []float64) []float64 {
 	switch op.SynthF {
 	case policy.SynthNorm:
-		return synthNorm(vals)
+		return synthNorm(dst, vals)
 	case policy.SynthSample:
-		return synthSample(vals, op.SampleN)
+		return synthSample(dst, vals, op.SampleN)
 	case policy.SynthMarker:
-		return synthMarker(vals)
+		return synthMarker(dst, vals)
 	}
-	return vals
+	return append(dst, vals...)
 }
 
 // synthNorm normalises the sequence to unit maximum magnitude
 // (preserving sign — direction sequences stay in [-1, 1], the input
 // representation the deep WFP models expect).
-func synthNorm(vals []float64) []float64 {
+func synthNorm(dst, vals []float64) []float64 {
 	var maxAbs float64
 	for _, v := range vals {
 		if a := math.Abs(v); a > maxAbs {
@@ -32,35 +33,34 @@ func synthNorm(vals []float64) []float64 {
 		}
 	}
 	if maxAbs == 0 {
-		return vals
+		return append(dst, vals...)
 	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = v / maxAbs
+	for _, v := range vals {
+		dst = append(dst, v/maxAbs)
 	}
-	return out
+	return dst
 }
 
 // synthSample resamples the sequence to exactly n points by uniform
 // index striding (ft_sample{n}), the fixed-length reduction CUMUL
 // applies to its cumulative trace.
-func synthSample(vals []float64, n int) []float64 {
+func synthSample(dst, vals []float64, n int) []float64 {
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]float64, n)
-	if len(vals) == 0 {
-		return out
-	}
-	if len(vals) == 1 {
-		for i := range out {
-			out[i] = vals[0]
+	switch {
+	case len(vals) == 0:
+		for i := 0; i < n; i++ {
+			dst = append(dst, 0)
 		}
-		return out
-	}
-	if n == 1 {
-		out[0] = vals[len(vals)-1]
-		return out
+		return dst
+	case len(vals) == 1:
+		for i := 0; i < n; i++ {
+			dst = append(dst, vals[0])
+		}
+		return dst
+	case n == 1:
+		return append(dst, vals[len(vals)-1])
 	}
 	for i := 0; i < n; i++ {
 		// Linear interpolation across the sequence.
@@ -68,13 +68,13 @@ func synthSample(vals []float64, n int) []float64 {
 		lo := int(pos)
 		hi := lo + 1
 		if hi >= len(vals) {
-			out[i] = vals[len(vals)-1]
+			dst = append(dst, vals[len(vals)-1])
 			continue
 		}
 		frac := pos - float64(lo)
-		out[i] = vals[lo]*(1-frac) + vals[hi]*frac
+		dst = append(dst, vals[lo]*(1-frac)+vals[hi]*frac)
 	}
-	return out
+	return dst
 }
 
 // synthMarker inserts direction-change markers: at every sign change
@@ -82,9 +82,10 @@ func synthSample(vals []float64, n int) []float64 {
 // previous direction (f_marker: "add a structure at each direction
 // change to reflect the bytes/packet numbers previously sent"). The
 // output is the sequence of per-direction run totals, signed by run
-// direction, padded/truncated to the input length.
-func synthMarker(vals []float64) []float64 {
-	out := make([]float64, 0, len(vals))
+// direction, padded to the input length (there are never more runs
+// than inputs).
+func synthMarker(dst, vals []float64) []float64 {
+	end := len(dst) + len(vals)
 	var run float64
 	var sign float64
 	for _, v := range vals {
@@ -96,17 +97,18 @@ func synthMarker(vals []float64) []float64 {
 			sign = s
 		}
 		if s != sign {
-			out = append(out, sign*run)
+			dst = append(dst, sign*run)
 			run, sign = 0, s
 		}
 		run += math.Abs(v)
 	}
 	if run > 0 && sign != 0 {
-		out = append(out, sign*run)
+		dst = append(dst, sign*run)
 	}
-	// Fixed-length view: pad with zeros or truncate to the input
-	// length so downstream dimensions stay stable.
-	fixed := make([]float64, len(vals))
-	copy(fixed, out)
-	return fixed
+	// Fixed-length view: pad with zeros so downstream dimensions stay
+	// stable.
+	for len(dst) < end {
+		dst = append(dst, 0)
+	}
+	return dst
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSynthNorm(t *testing.T) {
-	got := synthNorm([]float64{2, -4, 1})
+	got := synthNorm(nil, []float64{2, -4, 1})
 	want := []float64{0.5, -1, 0.25}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -17,7 +17,7 @@ func TestSynthNorm(t *testing.T) {
 		}
 	}
 	// Zero vector is passed through unchanged.
-	z := synthNorm([]float64{0, 0})
+	z := synthNorm(nil, []float64{0, 0})
 	if z[0] != 0 || z[1] != 0 {
 		t.Error("zero vector mishandled")
 	}
@@ -30,7 +30,7 @@ func TestSynthNormBounds(t *testing.T) {
 				xs[i] = 0
 			}
 		}
-		out := synthNorm(xs)
+		out := synthNorm(nil, xs)
 		for _, v := range out {
 			if v < -1-1e-9 || v > 1+1e-9 {
 				return false
@@ -46,7 +46,7 @@ func TestSynthNormBounds(t *testing.T) {
 func TestSynthSample(t *testing.T) {
 	// Downsampling a ramp keeps the endpoints.
 	in := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-	out := synthSample(in, 4)
+	out := synthSample(nil, in, 4)
 	if len(out) != 4 {
 		t.Fatalf("length = %d", len(out))
 	}
@@ -57,21 +57,21 @@ func TestSynthSample(t *testing.T) {
 		t.Errorf("ramp not monotone after sampling: %v", out)
 	}
 	// Upsampling interpolates.
-	up := synthSample([]float64{0, 10}, 5)
+	up := synthSample(nil, []float64{0, 10}, 5)
 	if up[2] != 5 {
 		t.Errorf("midpoint = %g, want 5", up[2])
 	}
 	// Degenerate inputs.
-	if len(synthSample(nil, 3)) != 3 {
+	if len(synthSample(nil, nil, 3)) != 3 {
 		t.Error("empty input should zero-fill")
 	}
-	one := synthSample([]float64{7}, 3)
+	one := synthSample(nil, []float64{7}, 3)
 	for _, v := range one {
 		if v != 7 {
 			t.Errorf("singleton broadcast: %v", one)
 		}
 	}
-	if synthSample(in, 0) != nil {
+	if synthSample(nil, in, 0) != nil {
 		t.Error("n=0 should be nil")
 	}
 }
@@ -79,7 +79,7 @@ func TestSynthSample(t *testing.T) {
 func TestSynthMarker(t *testing.T) {
 	// +3 packets of 100, then -2 of 500, then +1 of 60.
 	in := []float64{100, 100, 100, -500, -500, 60}
-	out := synthMarker(in)
+	out := synthMarker(nil, in)
 	if len(out) != len(in) {
 		t.Fatalf("marker output length %d", len(out))
 	}
@@ -94,7 +94,7 @@ func TestSynthMarker(t *testing.T) {
 
 func TestSynthMarkerSkipsZeros(t *testing.T) {
 	in := []float64{100, 0, 0, -50}
-	out := synthMarker(in)
+	out := synthMarker(nil, in)
 	if out[0] != 100 || out[1] != -50 {
 		t.Errorf("zeros should not break runs: %v", out)
 	}
@@ -102,13 +102,13 @@ func TestSynthMarkerSkipsZeros(t *testing.T) {
 
 func TestApplySynthDispatch(t *testing.T) {
 	vals := []float64{3, -6}
-	if got := applySynth(policy.Op{SynthF: policy.SynthNorm}, vals); got[1] != -1 {
+	if got := appendSynth(nil, policy.Op{SynthF: policy.SynthNorm}, vals); got[1] != -1 {
 		t.Error("norm dispatch")
 	}
-	if got := applySynth(policy.Op{SynthF: policy.SynthSample, SampleN: 1}, vals); len(got) != 1 {
+	if got := appendSynth(nil, policy.Op{SynthF: policy.SynthSample, SampleN: 1}, vals); len(got) != 1 {
 		t.Error("sample dispatch")
 	}
-	if got := applySynth(policy.Op{SynthF: policy.SynthMarker}, vals); len(got) != 2 {
+	if got := appendSynth(nil, policy.Op{SynthF: policy.SynthMarker}, vals); len(got) != 2 {
 		t.Error("marker dispatch")
 	}
 }

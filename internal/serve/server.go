@@ -319,13 +319,13 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		case FrameSubscribe:
 			if sub == nil {
-				// Acknowledge before registering: after registration
-				// the fan-out owns the write side, so this is the
-				// connection's last handler-side write.
-				if err := writeFrame(conn, FrameOK, nil); err != nil {
+				// subscribe writes the ack and registers the stream in
+				// one step; afterwards the fan-out owns the write side,
+				// so the ack is the connection's last handler-side
+				// write.
+				if sub, err = t.subscribe(conn); err != nil {
 					return
 				}
-				sub = t.subscribe(conn)
 			}
 		default:
 			writeFrame(conn, FrameError, []byte(fmt.Sprintf("unexpected frame kind %d", kind)))

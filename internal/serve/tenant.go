@@ -70,12 +70,16 @@ type Tenant struct {
 	eng     *core.ParallelEngine
 	cmds    chan tenantCmd
 
-	// mu guards stopped (the send gate: senders hold it shared while
+	// gate guards stopped, the send gate: senders hold it shared while
 	// enqueueing, Stop takes it exclusively to flip the flag, so no
-	// command can be enqueued after the opStop that ends the loop) and
-	// the mutable identity fields below.
+	// command can be enqueued after the opStop that ends the loop.
+	gate    sync.RWMutex
+	stopped bool
+
+	// mu guards the mutable identity fields below. It is separate from
+	// gate because the command loop takes it (applyReload) while a
+	// sender may be parked on the command channel holding gate shared.
 	mu         sync.RWMutex
-	stopped    bool
 	polName    string
 	featureDim int
 	lastReject string
@@ -220,13 +224,13 @@ func (t *Tenant) applyReload(polName string, pol *policy.Policy) reloadResult {
 // send enqueues one command, holding the send gate shared so Stop's
 // exclusive flip strictly orders every command before opStop.
 func (t *Tenant) send(cmd tenantCmd) error {
-	t.mu.RLock()
+	t.gate.RLock()
 	if t.stopped {
-		t.mu.RUnlock()
+		t.gate.RUnlock()
 		return ErrTenantStopped
 	}
 	t.cmds <- cmd
-	t.mu.RUnlock()
+	t.gate.RUnlock()
 	return nil
 }
 
@@ -273,15 +277,15 @@ func (t *Tenant) Reload(polName string, pol *policy.Policy) (string, error) {
 // Stop flushes, retires the engine and ends the command loop. Every
 // operation after Stop returns ErrTenantStopped.
 func (t *Tenant) Stop() error {
-	t.mu.Lock()
+	t.gate.Lock()
 	if t.stopped {
-		t.mu.Unlock()
+		t.gate.Unlock()
 		return ErrTenantStopped
 	}
 	t.stopped = true
 	reply := make(chan error, 1)
 	t.cmds <- tenantCmd{op: opStop, err: reply}
-	t.mu.Unlock()
+	t.gate.Unlock()
 	return <-reply
 }
 
@@ -354,13 +358,20 @@ type subscriber struct {
 	err     error
 }
 
-// subscribe registers a vector output stream on the tenant.
-func (t *Tenant) subscribe(w io.Writer) *subscriber {
+// subscribe acknowledges a FrameSubscribe on w and registers w as a
+// vector output stream. The ack is written under subMu, in the
+// critical section that inserts the subscriber, so emit cannot fan a
+// vector out between the two: every vector emitted after the ack
+// reaches the stream. On a failed ack nothing is registered.
+func (t *Tenant) subscribe(w io.Writer) (*subscriber, error) {
 	sub := &subscriber{w: w}
 	t.subMu.Lock()
+	defer t.subMu.Unlock()
+	if err := writeFrame(w, FrameOK, nil); err != nil {
+		return nil, err
+	}
 	t.subs[sub] = struct{}{}
-	t.subMu.Unlock()
-	return sub
+	return sub, nil
 }
 
 // unsubscribe removes the stream; safe to call twice.

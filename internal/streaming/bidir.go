@@ -32,6 +32,8 @@ type Bidirectional struct {
 
 // Observe folds one directional sample: sign selects the stream, the
 // magnitude is the value.
+//
+//superfe:hotpath
 func (b *Bidirectional) Observe(x int64) {
 	if x >= 0 {
 		res := float64(x) - b.fwd.Mean()
@@ -77,17 +79,19 @@ func (b *Bidirectional) PCC() float64 {
 	return math.Max(-1, math.Min(1, p))
 }
 
-// Features emits the statistic selected at construction.
-func (b *Bidirectional) Features() []float64 {
+// AppendFeatures appends the statistic selected at construction.
+//
+//superfe:hotpath
+func (b *Bidirectional) AppendFeatures(dst []float64) []float64 {
 	switch b.emit {
 	case FRadius:
-		return []float64{b.Radius()}
+		return append(dst, b.Radius())
 	case FCov:
-		return []float64{b.Cov()}
+		return append(dst, b.Cov())
 	case FPCC:
-		return []float64{b.PCC()}
+		return append(dst, b.PCC())
 	default:
-		return []float64{b.Magnitude()}
+		return append(dst, b.Magnitude())
 	}
 }
 

@@ -106,8 +106,8 @@ func TestDamped1DReducerModes(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			r.ObserveAt(5, 0)
 		}
-		if !approx(r.Features()[0], c.want, tol) {
-			t.Errorf("%s = %g, want %g", c.f, r.Features()[0], c.want)
+		if !approx(Features(r)[0], c.want, tol) {
+			t.Errorf("%s = %g, want %g", c.f, Features(r)[0], c.want)
 		}
 	}
 }
@@ -117,8 +117,8 @@ func TestDamped2DReducerSignConvention(t *testing.T) {
 	r.ObserveAt(300, 0)  // forward
 	r.ObserveAt(-400, 0) // backward, magnitude 400
 	want := math.Sqrt(300*300 + 400*400)
-	if !approx(r.Features()[0], want, tol) {
-		t.Errorf("magnitude = %g, want %g (sign convention broken)", r.Features()[0], want)
+	if !approx(Features(r)[0], want, tol) {
+		t.Errorf("magnitude = %g, want %g (sign convention broken)", Features(r)[0], want)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestNaiveDampedMatchesStreaming(t *testing.T) {
 			n.ObserveAt(x, ts)
 			ts += 3e6
 		}
-		if !approx(s.Features()[0], n.Features()[0], 1e-9) {
-			t.Errorf("%s: streaming %g vs naive replay %g", f, s.Features()[0], n.Features()[0])
+		if !approx(Features(s)[0], Features(n)[0], 1e-9) {
+			t.Errorf("%s: streaming %g vs naive replay %g", f, Features(s)[0], Features(n)[0])
 		}
 	}
 }

@@ -19,6 +19,8 @@ type Histogram struct {
 // bin clamp into it, negative values clamp into bin 0 (samples in
 // SuperFE are sizes and times, so negatives indicate direction and
 // are clamped deliberately).
+//
+//superfe:hotpath
 func (h *Histogram) Observe(x int64) {
 	h.n++
 	if x < 0 {
@@ -38,43 +40,55 @@ func (h *Histogram) Counts() []uint32 { return h.bins }
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Features emits, depending on the constructed mode:
+// AppendFeatures appends, depending on the constructed mode:
 //
 //	ft_hist:    raw bin counts
 //	f_pdf:      bin counts normalised to sum 1
 //	f_cdf:      cumulative normalised counts (monotone, ends at 1)
 //	ft_percent: the single value at the configured quantile
-func (h *Histogram) Features() []float64 {
+//
+//superfe:hotpath
+func (h *Histogram) AppendFeatures(dst []float64) []float64 {
 	switch h.emit {
 	case FPDF:
-		out := make([]float64, len(h.bins))
 		if h.n == 0 {
-			return out
+			return appendZeros(dst, len(h.bins))
 		}
-		for i, c := range h.bins {
-			out[i] = float64(c) / float64(h.n)
+		for _, c := range h.bins {
+			dst = append(dst, float64(c)/float64(h.n))
 		}
-		return out
+		return dst
 	case FCDF:
-		out := make([]float64, len(h.bins))
 		if h.n == 0 {
-			return out
+			return appendZeros(dst, len(h.bins))
 		}
 		var cum uint64
-		for i, c := range h.bins {
+		for _, c := range h.bins {
 			cum += uint64(c)
-			out[i] = float64(cum) / float64(h.n)
+			dst = append(dst, float64(cum)/float64(h.n))
 		}
-		return out
+		return dst
 	case FPercent:
-		return []float64{h.Quantile(h.quantile)}
+		return append(dst, h.Quantile(h.quantile))
 	default: // ft_hist
-		out := make([]float64, len(h.bins))
-		for i, c := range h.bins {
-			out[i] = float64(c)
-		}
-		return out
+		return appendCounts(dst, h.bins)
 	}
+}
+
+// appendZeros appends n zeros to dst.
+func appendZeros(dst []float64, n int) []float64 {
+	for ; n > 0; n-- {
+		dst = append(dst, 0)
+	}
+	return dst
+}
+
+// appendCounts appends the bin counters as floats.
+func appendCounts(dst []float64, bins []uint32) []float64 {
+	for _, c := range bins {
+		dst = append(dst, float64(c))
+	}
+	return dst
 }
 
 // Quantile returns the q-th quantile estimated from the histogram
@@ -150,6 +164,8 @@ func NewVariableHistogram(base int64, factor int64, bins int) *VariableHistogram
 
 // Observe increments the bin containing the sample (binary search
 // over the edges; ≤ 4 compares for 16 bins).
+//
+//superfe:hotpath
 func (v *VariableHistogram) Observe(x int64) {
 	v.n++
 	lo, hi := 0, len(v.edges)-1
@@ -170,13 +186,11 @@ func (v *VariableHistogram) Counts() []uint32 { return v.bins }
 // Edges returns the exclusive bin upper bounds.
 func (v *VariableHistogram) Edges() []int64 { return v.edges }
 
-// Features returns the raw bin counts.
-func (v *VariableHistogram) Features() []float64 {
-	out := make([]float64, len(v.bins))
-	for i, c := range v.bins {
-		out[i] = float64(c)
-	}
-	return out
+// AppendFeatures appends the raw bin counts.
+//
+//superfe:hotpath
+func (v *VariableHistogram) AppendFeatures(dst []float64) []float64 {
+	return appendCounts(dst, v.bins)
 }
 
 // StateBytes reports the bin counters plus edges.

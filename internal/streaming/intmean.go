@@ -33,6 +33,8 @@ type IntMean struct {
 const smallN = 16
 
 // Observe folds one sample into the division-free running mean.
+//
+//superfe:hotpath
 func (im *IntMean) Observe(x int64) {
 	im.n++
 	delta := x - im.mean
@@ -110,8 +112,11 @@ func (im *IntMean) Mean() int64 { return im.mean }
 // Count returns the number of observed samples.
 func (im *IntMean) Count() int64 { return im.n }
 
-// Features returns the mean as a float for the Reducer interface.
-func (im *IntMean) Features() []float64 { return []float64{float64(im.mean)} }
+// AppendFeatures appends the mean as a float for the Reducer
+// interface.
+//
+//superfe:hotpath
+func (im *IntMean) AppendFeatures(dst []float64) []float64 { return append(dst, float64(im.mean)) }
 
 // StateBytes reports 16 bytes (n + mean).
 func (im *IntMean) StateBytes() int { return 16 }

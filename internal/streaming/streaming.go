@@ -18,20 +18,27 @@ package streaming
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Reducer is the common interface of all reducing-function state.
-// Observe consumes one sample; Features emits the reducer's output
-// feature values (most reducers emit one, ft_hist emits one per bin,
-// f_array emits the whole sequence); StateBytes reports the state
-// footprint in bytes, used by the NIC memory model and the ILP
-// placement.
+// Observe consumes one sample; AppendFeatures appends the reducer's
+// output feature values to dst and returns the extended slice (most
+// reducers emit one value, ft_hist one per bin, f_array the whole
+// sequence). It never modifies dst[:len(dst)] and allocates only when
+// dst lacks the capacity, so the FE-NIC emits into one reused buffer.
+// StateBytes reports the state footprint in bytes, used by the NIC
+// memory model and the ILP placement.
 type Reducer interface {
 	Observe(x int64)
-	Features() []float64
+	AppendFeatures(dst []float64) []float64
 	StateBytes() int
 	Reset()
 }
+
+// Features returns r's feature values in a fresh slice — the
+// convenience form of AppendFeatures for tests and cold paths.
+func Features(r Reducer) []float64 { return r.AppendFeatures(nil) }
 
 // Func identifies a reducing function from Appendix A Table 5.
 type Func uint8
@@ -223,8 +230,10 @@ type Sum struct {
 //superfe:hotpath
 func (s *Sum) Observe(x int64) { s.sum += x; s.n++ }
 
-// Features returns the running sum.
-func (s *Sum) Features() []float64 { return []float64{float64(s.sum)} }
+// AppendFeatures appends the running sum.
+//
+//superfe:hotpath
+func (s *Sum) AppendFeatures(dst []float64) []float64 { return append(dst, float64(s.sum)) }
 
 // StateBytes reports 16 bytes (count + sum).
 func (s *Sum) StateBytes() int { return 16 }
@@ -256,12 +265,15 @@ func (e *Extremum) Observe(x int64) {
 	}
 }
 
-// Features returns the extremum (0 if no samples were observed).
-func (e *Extremum) Features() []float64 {
+// AppendFeatures appends the extremum (0 if no samples were
+// observed).
+//
+//superfe:hotpath
+func (e *Extremum) AppendFeatures(dst []float64) []float64 {
 	if !e.seen {
-		return []float64{0}
+		return append(dst, 0)
 	}
-	return []float64{float64(e.value)}
+	return append(dst, float64(e.value))
 }
 
 // StateBytes reports 9 bytes (value + seen flag).
@@ -310,15 +322,18 @@ func (w *Welford) Var() float64 {
 // Count returns the number of observed samples.
 func (w *Welford) Count() uint64 { return w.n }
 
-// Features emits mean, variance or stddev depending on construction.
-func (w *Welford) Features() []float64 {
+// AppendFeatures appends mean, variance or stddev depending on
+// construction.
+//
+//superfe:hotpath
+func (w *Welford) AppendFeatures(dst []float64) []float64 {
 	switch w.emit {
 	case FVar:
-		return []float64{w.Var()}
+		return append(dst, w.Var())
 	case FStd:
-		return []float64{math.Sqrt(w.Var())}
+		return append(dst, math.Sqrt(w.Var()))
 	default:
-		return []float64{w.mean}
+		return append(dst, w.mean)
 	}
 }
 
@@ -375,12 +390,14 @@ func (m *Moments) Kurtosis() float64 {
 	return n*m.m4/(m.m2*m.m2) - 3
 }
 
-// Features emits skew or kurtosis depending on construction.
-func (m *Moments) Features() []float64 {
+// AppendFeatures appends skew or kurtosis depending on construction.
+//
+//superfe:hotpath
+func (m *Moments) AppendFeatures(dst []float64) []float64 {
 	if m.emit == FKurtosis {
-		return []float64{m.Kurtosis()}
+		return append(dst, m.Kurtosis())
 	}
-	return []float64{m.Skew()}
+	return append(dst, m.Skew())
 }
 
 // StateBytes reports 40 bytes (n + four moments).
@@ -409,14 +426,19 @@ func (a *Array) Observe(x int64) {
 	}
 }
 
-// Features returns the sequence zero-padded to maxLen, which is the
-// fixed-length representation the WFP models consume.
-func (a *Array) Features() []float64 {
-	out := make([]float64, a.maxLen)
-	for i, v := range a.data {
-		out[i] = float64(v)
+// AppendFeatures appends the sequence zero-padded to maxLen, which is
+// the fixed-length representation the WFP models consume.
+//
+//superfe:hotpath
+func (a *Array) AppendFeatures(dst []float64) []float64 {
+	dst = slices.Grow(dst, a.maxLen)
+	for _, v := range a.data {
+		dst = append(dst, float64(v))
 	}
-	return out
+	for i := len(a.data); i < a.maxLen; i++ {
+		dst = append(dst, 0)
+	}
+	return dst
 }
 
 // Values returns the raw (unpadded) sequence.

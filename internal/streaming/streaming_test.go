@@ -30,14 +30,14 @@ func feed(r Reducer, xs []int64) {
 func TestSum(t *testing.T) {
 	s := &Sum{}
 	feed(s, []int64{1, 2, 3, -4})
-	if got := s.Features()[0]; got != 2 {
+	if got := Features(s)[0]; got != 2 {
 		t.Errorf("sum = %g, want 2", got)
 	}
 	if s.Count() != 4 {
 		t.Errorf("count = %d", s.Count())
 	}
 	s.Reset()
-	if s.Features()[0] != 0 || s.Count() != 0 {
+	if Features(s)[0] != 0 || s.Count() != 0 {
 		t.Error("reset incomplete")
 	}
 }
@@ -48,15 +48,15 @@ func TestExtremum(t *testing.T) {
 	xs := []int64{5, -3, 17, 0}
 	feed(mx, xs)
 	feed(mn, xs)
-	if mx.Features()[0] != 17 {
-		t.Errorf("max = %g", mx.Features()[0])
+	if Features(mx)[0] != 17 {
+		t.Errorf("max = %g", Features(mx)[0])
 	}
-	if mn.Features()[0] != -3 {
-		t.Errorf("min = %g", mn.Features()[0])
+	if Features(mn)[0] != -3 {
+		t.Errorf("min = %g", Features(mn)[0])
 	}
 	// Empty reducers emit 0.
 	e := &Extremum{max: true}
-	if e.Features()[0] != 0 {
+	if Features(e)[0] != 0 {
 		t.Error("empty extremum should be 0")
 	}
 }
@@ -75,7 +75,7 @@ func TestWelfordAgainstNaive(t *testing.T) {
 		n := NewNaive(FVar, Params{})
 		feed(w, xs)
 		feed(n, xs)
-		return approx(w.Features()[0], n.Features()[0], 1e-6)
+		return approx(Features(w)[0], Features(n)[0], 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -93,8 +93,8 @@ func TestWelfordKnown(t *testing.T) {
 	}
 	std := &Welford{emit: FStd}
 	feed(std, []int64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !approx(std.Features()[0], 2, tol) {
-		t.Errorf("std = %g, want 2", std.Features()[0])
+	if !approx(Features(std)[0], 2, tol) {
+		t.Errorf("std = %g, want 2", Features(std)[0])
 	}
 }
 
@@ -111,8 +111,8 @@ func TestMomentsAgainstNaive(t *testing.T) {
 		n := NewNaive(emit, Params{})
 		feed(m, xs)
 		feed(n, xs)
-		if !approx(m.Features()[0], n.Features()[0], 1e-6) {
-			t.Errorf("%s: streaming %g vs naive %g", emit, m.Features()[0], n.Features()[0])
+		if !approx(Features(m)[0], Features(n)[0], 1e-6) {
+			t.Errorf("%s: streaming %g vs naive %g", emit, Features(m)[0], Features(n)[0])
 		}
 	}
 }
@@ -120,12 +120,12 @@ func TestMomentsAgainstNaive(t *testing.T) {
 func TestMomentsDegenerate(t *testing.T) {
 	m := &Moments{emit: FSkew}
 	m.Observe(5)
-	if m.Features()[0] != 0 {
+	if Features(m)[0] != 0 {
 		t.Error("single-sample skew must be 0")
 	}
 	m2 := &Moments{emit: FKurtosis}
 	feed(m2, []int64{3, 3, 3, 3})
-	if m2.Features()[0] != 0 {
+	if Features(m2)[0] != 0 {
 		t.Error("constant-stream kurtosis must be 0 (zero variance guard)")
 	}
 }
@@ -192,7 +192,7 @@ func TestHistogramBinning(t *testing.T) {
 		h.Observe(x)
 	}
 	want := []float64{3, 1, 1, 3} // -5,0,9 | 10 | 25 | 39,40(clamp),1000(clamp)
-	got := h.Features()
+	got := Features(h)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("hist = %v, want %v", got, want)
@@ -206,11 +206,11 @@ func TestHistogramPDFandCDF(t *testing.T) {
 	xs := []int64{5, 15, 15, 35}
 	feed(pdf, xs)
 	feed(cdf, xs)
-	p := pdf.Features()
+	p := Features(pdf)
 	if !approx(p[0], 0.25, tol) || !approx(p[1], 0.5, tol) || !approx(p[3], 0.25, tol) {
 		t.Errorf("pdf = %v", p)
 	}
-	c := cdf.Features()
+	c := Features(cdf)
 	if !approx(c[3], 1.0, tol) {
 		t.Errorf("cdf must end at 1: %v", c)
 	}
@@ -259,7 +259,7 @@ func TestVariableHistogram(t *testing.T) {
 	for _, x := range []int64{50, 150, 500, 5000} {
 		v.Observe(x)
 	}
-	got := v.Features()
+	got := Features(v)
 	want := []float64{1, 1, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -267,7 +267,7 @@ func TestVariableHistogram(t *testing.T) {
 		}
 	}
 	v.Reset()
-	for _, c := range v.Features() {
+	for _, c := range Features(v) {
 		if c != 0 {
 			t.Error("reset incomplete")
 		}
@@ -281,7 +281,7 @@ func TestArray(t *testing.T) {
 	if len(vals) != 3 {
 		t.Fatalf("array should cap at 3, got %d", len(vals))
 	}
-	feats := a.Features()
+	feats := Features(a)
 	if len(feats) != 3 || feats[0] != 1 || feats[1] != -1 {
 		t.Errorf("features = %v", feats)
 	}
@@ -293,7 +293,7 @@ func TestArray(t *testing.T) {
 func TestArrayZeroPadding(t *testing.T) {
 	a := &Array{maxLen: 5}
 	feed(a, []int64{7})
-	feats := a.Features()
+	feats := Features(a)
 	if len(feats) != 5 || feats[0] != 7 || feats[4] != 0 {
 		t.Errorf("padding wrong: %v", feats)
 	}
@@ -321,8 +321,8 @@ func TestBidirectionalAgainstNaive(t *testing.T) {
 		n := NewNaive(c.f, Params{})
 		feed(b, xs)
 		feed(n, xs)
-		if !approx(b.Features()[0], n.Features()[0], c.eps) {
-			t.Errorf("%s: %g vs %g", c.f, b.Features()[0], n.Features()[0])
+		if !approx(Features(b)[0], Features(n)[0], c.eps) {
+			t.Errorf("%s: %g vs %g", c.f, Features(b)[0], Features(n)[0])
 		}
 	}
 }
@@ -331,7 +331,7 @@ func TestBidirectionalPCCBounds(t *testing.T) {
 	f := func(xs []int64) bool {
 		b := &Bidirectional{emit: FPCC}
 		feed(b, xs)
-		p := b.Features()[0]
+		p := Features(b)[0]
 		return p >= -1 && p <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -426,10 +426,10 @@ func TestAllReducersResetAndReuse(t *testing.T) {
 		// a fresh run.
 		xs := []int64{5, -3, 12, 7, -9, 4, 4, 20}
 		feedTimed(r, xs)
-		first := append([]float64(nil), r.Features()...)
+		first := append([]float64(nil), Features(r)...)
 		r.Reset()
 		feedTimed(r, xs)
-		second := r.Features()
+		second := Features(r)
 		for i := range first {
 			if !approx(first[i], second[i], 1e-9) && !(math.IsNaN(first[i]) && math.IsNaN(second[i])) {
 				t.Errorf("%s: reset changes results: %v vs %v", s.f, first, second)
